@@ -128,6 +128,31 @@ std::vector<std::uint32_t> PlaceShard::scene_votes(
   return votes;
 }
 
+const Bytes& PlaceShard::oracle_download() const {
+  std::lock_guard lock(download_.mutex);
+  if (download_.bytes == nullptr) {
+    Timer timer;
+    // A PQ-ready shard ships its codebook with the oracle, so the client
+    // can encode compact (v4) query fingerprints against this exact epoch.
+    download_.bytes = std::make_unique<const Bytes>(
+        OracleDownload::pack(oracle, epoch, place,
+                             index.pq_ready()
+                                 ? index.pq_codebook().raw()
+                                 : std::span<const std::uint8_t>{})
+            .encode());
+    VP_OBS_COUNT("store.oracle_download.builds", 1);
+    VP_OBS_OBSERVE("store.oracle_download.build_ms", timer.millis());
+  }
+  return *download_.bytes;
+}
+
+PlaceShard::DownloadSlot& PlaceShard::DownloadSlot::operator=(
+    const DownloadSlot&) noexcept {
+  std::lock_guard lock(mutex);
+  bytes.reset();
+  return *this;
+}
+
 namespace {
 
 void ingest_into(PlaceShard& shard, const Feature& feature,
@@ -522,17 +547,17 @@ LocationResponse MapStore::localize(const FingerprintQuery& query,
   return *best;
 }
 
-OracleDownload MapStore::oracle_snapshot(const std::string& place) const {
+std::shared_ptr<const Bytes> MapStore::oracle_download(
+    const std::string& place) const {
   const std::string& id = place.empty() ? default_place_ : place;
   // A client download is a first-class read: fault the shard in if cold.
   const auto shard = fault_in(id);
   VP_REQUIRE(shard != nullptr, "oracle snapshot of unknown place: " + id);
-  // A PQ-ready shard ships its codebook with the oracle, so the client can
-  // encode compact (v4) query fingerprints against this exact epoch.
-  return OracleDownload::pack(shard->oracle, shard->epoch, shard->place,
-                              shard->index.pq_ready()
-                                  ? shard->index.pq_codebook().raw()
-                                  : std::span<const std::uint8_t>{});
+  return {shard, &shard->oracle_download()};
+}
+
+OracleDownload MapStore::oracle_snapshot(const std::string& place) const {
+  return OracleDownload::decode(*oracle_download(place));
 }
 
 void MapStore::set_pool(ThreadPool* pool) {

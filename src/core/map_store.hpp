@@ -108,11 +108,39 @@ struct PlaceShard {
   /// query features whose accepted nearest neighbor belongs to scene s.
   std::vector<std::uint32_t> scene_votes(std::span<const Feature> features,
                                          ThreadPool* pool = nullptr) const;
+
+  /// This shard's client download as wire bytes: the encoded
+  /// OracleDownload (zlib'd oracle, plus the codebook when the index is
+  /// PQ-ready) that an 'O' request returns. Built on the first call and
+  /// kept for the shard's lifetime, so a place pays the level-9
+  /// compression once per published epoch. Concurrent first callers wait
+  /// for that one build; a build that throws caches nothing and the next
+  /// call retries. Meant for published (immutable) shards: a builder
+  /// mutated after the call would keep serving the bytes built before.
+  const Bytes& oracle_download() const;
+
+ private:
+  /// Build-once slot behind oracle_download(). Copying a shard (publish,
+  /// restore, builder seeding) yields an *empty* slot, so a new snapshot
+  /// never serves another epoch's download; the bytes are freed with the
+  /// snapshot that built them. The build runs under `mutex` rather than
+  /// std::call_once: libstdc++'s call_once can leave waiters blocked when
+  /// the call throws (GCC bug 66146), and a failed build must let the
+  /// next request retry.
+  struct DownloadSlot {
+    DownloadSlot() = default;
+    DownloadSlot(const DownloadSlot&) noexcept {}
+    DownloadSlot& operator=(const DownloadSlot&) noexcept;
+    std::mutex mutex;
+    std::unique_ptr<const Bytes> bytes;  ///< guarded by mutex
+  };
+  mutable DownloadSlot download_;
 };
 
 /// The sharded store. Thread-safety contract:
-///   - `localize`, `snapshot`, `snapshots`, `oracle_snapshot` are safe to
-///     call from any number of threads concurrently with any writer.
+///   - `localize`, `snapshot`, `snapshots`, `oracle_download`,
+///     `oracle_snapshot` are safe to call from any number of threads
+///     concurrently with any writer.
 ///   - Writers (`ingest*`, `publish`, `restore_shard`) serialize on an
 ///     internal mutex; concurrent writers are safe but sequenced.
 ///   - `builder_shard` returns writer-side mutable state and is intended
@@ -203,8 +231,15 @@ class MapStore {
   /// fan-out: one anonymous query must not page the whole tier in.
   LocationResponse localize(const FingerprintQuery& query, Rng& rng) const;
 
-  /// Epoch'd oracle snapshot for client download. Empty `place` means the
-  /// default place. Throws InvalidArgument for an unknown place.
+  /// Encoded oracle download of `place`'s current snapshot — the 'O'
+  /// reply, built once per published epoch (PlaceShard::oracle_download).
+  /// Empty `place` means the default place; faults a cold shard in.
+  /// Throws InvalidArgument for an unknown place. The pointer shares
+  /// ownership of the snapshot, so the bytes outlive a re-publish or an
+  /// eviction that lands while the caller still reads them.
+  std::shared_ptr<const Bytes> oracle_download(const std::string& place) const;
+
+  /// The same download decoded, for in-process clients.
   OracleDownload oracle_snapshot(const std::string& place) const;
 
   /// Attach (or detach, with nullptr) the borrowed fan-out worker pool.

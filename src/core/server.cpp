@@ -91,10 +91,11 @@ Bytes VisualPrintServer::handle_request(std::span<const std::uint8_t> request,
   const auto body = request.subspan(1);
   if (tag == kOracleRequest) {
     // Legacy bare 'O' (empty body) resolves to the default place; a body
-    // is an OracleRequest naming the shard.
-    if (body.empty()) return store_->oracle_snapshot({}).encode();
-    const OracleRequest req = OracleRequest::decode(body);
-    return store_->oracle_snapshot(req.place).encode();
+    // is an OracleRequest naming the shard. The reply is the snapshot's
+    // stored download, built on the first request for its epoch.
+    const std::string place =
+        body.empty() ? std::string{} : OracleRequest::decode(body).place;
+    return *store_->oracle_download(place);
   }
   if (tag == kQueryRequest) {
     return handle_query(body, solver_seed);

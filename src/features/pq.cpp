@@ -71,18 +71,11 @@ inline const std::uint8_t* code_at(const std::uint8_t* codes,
   return codes + id * kPqCodeBytes;
 }
 
-/// How many codes ahead the SIMD kernels prefetch. The whole id list is
-/// in hand when a scan starts (that is the point of whole-scan dispatch
-/// granularity), so the gathered-id access pattern — one fresh cache line
-/// per candidate — can be announced to the prefetcher well before the
-/// demand load. The scalar kernel stays prefetch-free: it is the pure
-/// reference the others are compared against.
-constexpr std::size_t kPrefetchAhead = 24;
-
 // True-scalar reference, kept un-vectorized for the same reason as the
 // scalar distance kernel: it is the verification baseline the SIMD scans
 // are compared against bit-for-bit. (The sums are exact u32 integer math,
-// so equality is a hard requirement, not a tolerance.)
+// so equality is a hard requirement, not a tolerance.) It stays
+// prefetch-free for the same reason.
 #if defined(__clang__)
 void adc_scan_scalar(const std::uint16_t* lut, const std::uint8_t* codes,
                      const std::uint32_t* ids, std::size_t n,
@@ -124,8 +117,8 @@ __attribute__((target("sse4.1"))) void adc_scan_sse41(
     const std::uint32_t* ids, std::size_t n, std::uint32_t* out) noexcept {
   const __m128i zero = _mm_setzero_si128();
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchAhead < n) {
-      __builtin_prefetch(code_at(codes, ids, i + kPrefetchAhead));
+    if (i + kAdcPrefetchAhead < n) {
+      __builtin_prefetch(code_at(codes, ids, i + kAdcPrefetchAhead));
     }
     const std::uint8_t* c = code_at(codes, ids, i);
     const __m128i v0 = _mm_setr_epi16(
@@ -193,9 +186,13 @@ __attribute__((target("avx2"))) void adc_scan_avx2(
   } while (0)
   std::size_t i = 0;
   for (; i + 1 < n; i += 2) {
-    if (i + kPrefetchAhead < n) {
-      __builtin_prefetch(code_at(codes, ids, i + kPrefetchAhead));
-      __builtin_prefetch(code_at(codes, ids, i + kPrefetchAhead + 1));
+    // Each prefetch reads ids[] at its own index, so each needs its own
+    // bound: near the end only the first of the pair may still be in range.
+    if (i + kAdcPrefetchAhead < n) {
+      __builtin_prefetch(code_at(codes, ids, i + kAdcPrefetchAhead));
+    }
+    if (i + kAdcPrefetchAhead + 1 < n) {
+      __builtin_prefetch(code_at(codes, ids, i + kAdcPrefetchAhead + 1));
     }
     __m256i sum0, sum1;
     VP_ADC_GATHER16(code_at(codes, ids, i), sum0);
@@ -231,8 +228,8 @@ void adc_scan_neon(const std::uint16_t* lut, const std::uint8_t* codes,
                    const std::uint32_t* ids, std::size_t n,
                    std::uint32_t* out) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchAhead < n) {
-      __builtin_prefetch(code_at(codes, ids, i + kPrefetchAhead));
+    if (i + kAdcPrefetchAhead < n) {
+      __builtin_prefetch(code_at(codes, ids, i + kAdcPrefetchAhead));
     }
     const std::uint8_t* c = code_at(codes, ids, i);
     std::uint16_t g[kPqSubspaces];

@@ -174,6 +174,15 @@ DistanceKernel active_adc_kernel() noexcept;
 /// nothing — when the kernel is not compiled in or the CPU lacks it.
 bool set_adc_kernel(DistanceKernel kernel) noexcept;
 
+/// How many codes ahead the SIMD scans prefetch. The whole id list is in
+/// hand when a scan starts (that is the point of whole-scan dispatch
+/// granularity), so the gathered-id access pattern — one fresh cache line
+/// per candidate — can be announced to the prefetcher well before the
+/// demand load. Every prefetch reads `ids[i + kAdcPrefetchAhead (+1)]`
+/// only while that index is below `n`; tests sweep scan lengths across
+/// this distance to pin that bound.
+inline constexpr std::size_t kAdcPrefetchAhead = 24;
+
 /// Asymmetric distance of one 16-byte code via the active kernel.
 std::uint32_t adc_distance(const AdcTable& table,
                            const std::uint8_t* code) noexcept;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <barrier>
 #include <filesystem>
 #include <thread>
 
@@ -10,6 +13,7 @@
 #include "core/server.hpp"
 #include "core/session.hpp"
 #include "imaging/codec.hpp"
+#include "obs/metrics.hpp"
 #include "scene/texture.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -1039,6 +1043,175 @@ TEST(MapStore, StorageModeReportsPerPlace) {
   EXPECT_EQ(server.store().storage_mode("plain"), "exact");
   EXPECT_EQ(server.store().storage_mode("compact"), "pq");
   EXPECT_EQ(server.store().storage_mode("nowhere"), "");
+}
+
+// --- oracle download, built once per published snapshot -------------------
+
+/// The 'O' reply for `place`, through the request handler.
+Bytes oracle_reply(const VisualPrintServer& server, const std::string& place) {
+  OracleRequest req;
+  req.place = place;
+  ByteWriter w;
+  w.u8(kOracleRequest);
+  w.raw(req.encode());
+  return server.handle_request(w.bytes(), 1);
+}
+
+/// What a fresh pack of the snapshot encodes to: every cached reply must
+/// equal it byte for byte.
+Bytes packed_download(const PlaceShard& shard) {
+  return OracleDownload::pack(shard.oracle, shard.epoch, shard.place,
+                              shard.index.pq_ready()
+                                  ? shard.index.pq_codebook().raw()
+                                  : std::span<const std::uint8_t>{})
+      .encode();
+}
+
+std::uint64_t download_builds() {
+  return obs::Registry::global()
+      .counter("store.oracle_download.builds")
+      .value();
+}
+
+TEST(MapStore, OracleDownloadEqualsPackForExactAndPqShards) {
+  ServerConfig exact_cfg = small_server();
+  ServerConfig pq_cfg = pq_server();
+  VisualPrintServer server(exact_cfg);
+  Rng rng(65);
+  server.store().ingest_wardrive("plain", random_mappings(rng, 30, {0, 0, 0}),
+                                 &exact_cfg);
+  server.store().ingest_wardrive("compact",
+                                 random_mappings(rng, 40, {4, 0, 0}), &pq_cfg);
+  const std::uint64_t builds_before = download_builds();
+  for (const std::string place : {"plain", "compact"}) {
+    SCOPED_TRACE(place);
+    const auto shard = server.store().snapshot(place);
+    ASSERT_NE(shard, nullptr);
+    const Bytes expected = packed_download(*shard);
+    EXPECT_EQ(oracle_reply(server, place), expected);
+    EXPECT_EQ(oracle_reply(server, place), expected);  // served from cache
+    EXPECT_EQ(server.oracle_snapshot(place).encode(), expected);
+    EXPECT_EQ(OracleDownload::decode(expected).codebook.size(),
+              place == "compact" ? kPqCodebookBytes : 0u);
+  }
+  // The legacy bare 'O' names the default place through the same cache.
+  const std::uint8_t bare[] = {kOracleRequest};
+  const auto def = server.store().snapshot(server.store().default_place());
+  ASSERT_NE(def, nullptr);
+  EXPECT_EQ(server.handle_request(bare, 1), packed_download(*def));
+#if VP_OBS_ENABLED
+  EXPECT_EQ(download_builds() - builds_before, 3u);  // one per place
+#else
+  static_cast<void>(builds_before);
+#endif
+}
+
+TEST(MapStore, ConcurrentColdDownloadsBuildOnce) {
+  VisualPrintServer server(small_server());
+  Rng rng(66);
+  server.ingest_wardrive("hall", random_mappings(rng, 30, {0, 0, 0}));
+  const std::uint64_t builds_before = download_builds();
+
+  constexpr int kThreads = 8;
+  std::barrier gate(kThreads);
+  std::vector<std::shared_ptr<const Bytes>> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      gate.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = server.store().oracle_download("hall");
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  // Every requester was handed the one stored download.
+  const Bytes expected = packed_download(*server.store().snapshot("hall"));
+  for (const auto& bytes : got) {
+    ASSERT_NE(bytes, nullptr);
+    EXPECT_EQ(bytes.get(), got[0].get());
+    EXPECT_EQ(*bytes, expected);
+  }
+#if VP_OBS_ENABLED
+  EXPECT_EQ(download_builds() - builds_before, 1u);
+#else
+  static_cast<void>(builds_before);
+#endif
+}
+
+TEST(MapStore, RepublishServesNewEpochWhileOldSnapshotKeepsItsOwn) {
+  VisualPrintServer server(small_server());
+  Rng rng(67);
+  server.ingest_wardrive("hall", random_mappings(rng, 20, {0, 0, 0}));
+  const auto old_shard = server.store().snapshot("hall");
+  const Bytes first = oracle_reply(server, "hall");
+  EXPECT_EQ(OracleDownload::decode(first).epoch, 1u);
+
+  server.ingest_wardrive("hall", random_mappings(rng, 20, {3, 0, 0}));
+  const Bytes second = oracle_reply(server, "hall");
+  EXPECT_NE(second, first);
+  EXPECT_EQ(OracleDownload::decode(second).epoch, 2u);
+  EXPECT_EQ(second, packed_download(*server.store().snapshot("hall")));
+  // An in-flight holder of the epoch-1 snapshot still reads epoch 1.
+  EXPECT_EQ(old_shard->oracle_download(), first);
+  EXPECT_EQ(old_shard->oracle_download(), packed_download(*old_shard));
+}
+
+TEST(MapStore, EvictedShardRefaultsToIdenticalDownload) {
+  namespace fs = std::filesystem;
+  const auto path =
+      (fs::temp_directory_path() /
+       ("vp_map_store_download_" + std::to_string(::getpid()) + ".db"))
+          .string();
+  {
+    VisualPrintServer build(small_server());
+    Rng rng(68);
+    build.ingest_wardrive("wing-a", random_mappings(rng, 150, {0, 0, 0}));
+    build.ingest_wardrive("wing-b", random_mappings(rng, 150, {5, 0, 0}));
+    build.save(path);
+  }
+  DbLoadOptions lazy;
+  lazy.lazy = true;
+  std::size_t one_shard = 0;
+  {
+    VisualPrintServer probe = VisualPrintServer::load(path, lazy);
+    ASSERT_NE(probe.store().fault_in("wing-a"), nullptr);
+    one_shard = probe.store().residency().stats().resident_bytes;
+    // The stored download is not charged to the resident-byte budget.
+    static_cast<void>(probe.store().oracle_download("wing-a"));
+    EXPECT_EQ(probe.store().residency().stats().resident_bytes, one_shard);
+  }
+  ASSERT_GT(one_shard, 0u);
+  // Room for one wing at a time: downloading wing-b evicts wing-a.
+  lazy.resident_budget = one_shard + one_shard / 2;
+  VisualPrintServer server = VisualPrintServer::load(path, lazy);
+  fs::remove(path);
+
+  const std::uint64_t builds_before = download_builds();
+  const Bytes a_first = oracle_reply(server, "wing-a");
+  const Bytes b = oracle_reply(server, "wing-b");
+  EXPECT_EQ(server.store().snapshot("wing-a"), nullptr);  // evicted
+  EXPECT_GT(server.store().residency().stats().evictions, 0u);
+  const Bytes a_again = oracle_reply(server, "wing-a");  // re-fault
+  EXPECT_EQ(a_again, a_first);
+  EXPECT_NE(b, a_first);
+  EXPECT_EQ(a_again, packed_download(*server.store().snapshot("wing-a")));
+
+  // A write seeds wing-a's builder by copying the resident snapshot, which
+  // holds a built download; the next epoch must not inherit those bytes.
+  Rng rng(69);
+  server.store().ingest_wardrive("wing-a",
+                                 random_mappings(rng, 20, {1, 0, 0}));
+  const Bytes a_next = oracle_reply(server, "wing-a");
+  EXPECT_EQ(OracleDownload::decode(a_next).epoch,
+            OracleDownload::decode(a_first).epoch + 1);
+  EXPECT_EQ(a_next, packed_download(*server.store().snapshot("wing-a")));
+#if VP_OBS_ENABLED
+  // Each snapshot (load, re-fault, re-publish) builds once.
+  EXPECT_EQ(download_builds() - builds_before, 4u);
+#else
+  static_cast<void>(builds_before);
+#endif
 }
 
 TEST(MapStoreSoak, IngestWhileServingIsRaceFree) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
 
 #include "features/distance.hpp"
 #include "features/pq.hpp"
@@ -382,6 +383,42 @@ TEST(AdcKernels, BitIdenticalToScalarWithAndWithoutIds) {
                     got_ids.data());
       EXPECT_EQ(got_seq, expect_seq);
       EXPECT_EQ(got_ids, expect_ids);
+    }
+  }
+}
+
+// The SIMD scans prefetch kAdcPrefetchAhead codes ahead by reading the
+// id list there; no read may pass ids[n - 1]. Every scan length in
+// [0, 2 * kAdcPrefetchAhead + 4) is run over an id array allocated to
+// exactly n entries, so each residue of the two-code AVX2 unroll meets
+// the prefetch bound and an overread is a heap-buffer-overflow under
+// AddressSanitizer.
+TEST(AdcKernels, PrefetchStaysInsideIdListAtEveryLength) {
+  const std::size_t pool = 97;
+  const auto flat = random_flat_descriptors(pool, 0x9008ul);
+  const PqCodebook book = PqCodebook::train(flat.data(), pool);
+  std::vector<std::uint8_t> codes(pool * kPqCodeBytes);
+  for (std::size_t i = 0; i < pool; ++i) {
+    book.encode(flat.data() + i * kDescriptorDims,
+                codes.data() + i * kPqCodeBytes);
+  }
+  AdcTable table;
+  book.build_adc_table(flat.data() + 5 * kDescriptorDims, table);
+  Rng rng(0x9009ul);
+  for (std::size_t n = 0; n < 2 * kAdcPrefetchAhead + 4; ++n) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const auto ids = std::make_unique<std::uint32_t[]>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = static_cast<std::uint32_t>(rng.uniform_u64(pool));
+    }
+    std::vector<std::uint32_t> expect(n);
+    adc_scan_with(DistanceKernel::kScalar, table, codes.data(), ids.get(), n,
+                  expect.data());
+    for (const DistanceKernel kernel : compiled_adc_kernels()) {
+      SCOPED_TRACE(std::string(kernel_name(kernel)));
+      std::vector<std::uint32_t> got(n);
+      adc_scan_with(kernel, table, codes.data(), ids.get(), n, got.data());
+      EXPECT_EQ(got, expect);
     }
   }
 }
