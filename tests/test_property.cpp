@@ -109,10 +109,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Oracle ranking quality across aggregates and K.
+// gtest names these cases by the struct's raw bytes, so the padding after the
+// one-byte aggregate is an explicit zeroed member: implicit padding would put
+// whatever the stack held into the test names, and they would change per run.
 struct OracleParams {
+  OracleParams(OracleAggregate a, std::size_t k) : aggregate(a), hashes(k) {}
   OracleAggregate aggregate;
+  std::uint8_t padding[sizeof(std::size_t) - sizeof(OracleAggregate)]{};
   std::size_t hashes;
 };
+static_assert(sizeof(OracleParams) == 2 * sizeof(std::size_t));
 
 class OracleGridTest : public ::testing::TestWithParam<OracleParams> {};
 
